@@ -9,6 +9,16 @@
 namespace tracer {
 namespace autograd {
 
+namespace {
+thread_local bool g_grad_enabled = true;
+}  // namespace
+
+NoGradScope::NoGradScope() : prev_(g_grad_enabled) { g_grad_enabled = false; }
+
+NoGradScope::~NoGradScope() { g_grad_enabled = prev_; }
+
+bool GradEnabled() { return g_grad_enabled; }
+
 Tensor& Node::EnsureGrad() {
   if (!grad_allocated) {
     grad = Tensor::Zeros(value.shape());
@@ -83,6 +93,9 @@ void Variable::Backward() {
 
 void Variable::Backward(const Tensor& output_grad) {
   TRACER_CHECK(defined());
+  TRACER_CHECK(!node_->forward_only)
+      << "Backward on a value computed inside autograd::NoGradScope: "
+         "forward-only evaluation records no tape";
   TRACER_CHECK(node_->requires_grad)
       << "Backward on a graph with no trainable inputs";
   TRACER_CHECK(output_grad.SameShape(node_->value));
@@ -116,6 +129,10 @@ Variable MakeOpNode(const char* op, Tensor value, std::vector<NodePtr> parents,
   auto node = std::make_shared<Node>();
   node->op = op;
   node->value = std::move(value);
+  if (!g_grad_enabled) {
+    node->forward_only = true;
+    return Variable(std::move(node));
+  }
   for (const NodePtr& p : parents) {
     if (p->requires_grad) {
       node->requires_grad = true;

@@ -22,6 +22,9 @@ struct Node {
   Tensor grad;            // allocated on demand; same shape as value
   bool requires_grad = false;
   bool grad_allocated = false;
+  /// True for interior nodes recorded inside a NoGradScope: they carry a
+  /// value but no parents and no closure, so Backward from them is refused.
+  bool forward_only = false;
   /// Name of the op that recorded this node ("leaf" for parameters and
   /// constants). Keys the per-op shape rules in graph_check.cc; must point
   /// at a string literal (never freed).
@@ -87,8 +90,31 @@ class Variable {
 /// Builds an interior node from parents. `requires_grad` is inferred. `op`
 /// names the recording operation for diagnostics and graph validation; it
 /// must be a string literal (the node stores the pointer, not a copy).
+/// Inside a NoGradScope the node keeps neither parents nor closure.
 Variable MakeOpNode(const char* op, Tensor value, std::vector<NodePtr> parents,
                     std::function<void(Node&)> backward_fn);
+
+/// RAII forward-only region for the calling thread: while one is alive,
+/// MakeOpNode records no tape — every op result is a value-only node with
+/// requires_grad false, so each intermediate dies as soon as its last
+/// Variable handle does instead of living until the root is dropped. The
+/// values are bitwise the taped ones (only the bookkeeping is skipped).
+/// Scopes nest; the destructor restores the enclosing state. Other threads
+/// are unaffected. Anything that calls Backward (the training step,
+/// integrated gradients) must run outside every scope.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// False while a NoGradScope is alive on the calling thread.
+bool GradEnabled();
 
 }  // namespace autograd
 }  // namespace tracer

@@ -159,6 +159,8 @@ Variable Titv::Forward(const std::vector<Variable>& xs) {
 
 FeatureImportanceTrace Titv::ComputeFeatureImportance(
     const data::Batch& batch, bool classification) {
+  // Reads values only, so it records no tape.
+  const autograd::NoGradScope no_grad;
   const std::vector<Variable> xs = nn::SequenceModel::ToVariables(batch);
   const int batch_size = batch.batch_size();
   const int num_windows = static_cast<int>(xs.size());

@@ -20,7 +20,7 @@ ModelScorer WrapSequenceModel(nn::SequenceModel* model) {
     for (const Tensor& x : xs) {
       vars.push_back(autograd::Variable::Constant(x));
     }
-    return model->Forward(vars).value();
+    return model->ScoreRaw(vars);
   };
   scorer.reset = [model]() {
     std::vector<autograd::Variable> params = model->Parameters();

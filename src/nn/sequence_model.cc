@@ -1,6 +1,7 @@
 #include "nn/sequence_model.h"
 
 #include <numeric>
+#include <utility>
 
 #include "autograd/ops.h"
 #include "tensor/tensor_ops.h"
@@ -18,6 +19,20 @@ std::vector<autograd::Variable> SequenceModel::ToVariables(
   return xs;
 }
 
+Tensor SequenceModel::ScoreRaw(const std::vector<autograd::Variable>& xs) {
+  const autograd::NoGradScope no_grad;
+  autograd::Variable raw = Forward(xs);
+  return std::move(raw.mutable_value());
+}
+
+Tensor SequenceModel::Score(const std::vector<autograd::Variable>& xs,
+                            bool classify) {
+  const Tensor raw = ScoreRaw(xs);
+  return classify ? tracer::Sigmoid(raw)
+                  : tracer::AddScalar(tracer::Scale(raw, output_scale_),
+                                      output_offset_);
+}
+
 std::vector<float> SequenceModel::Predict(
     const data::TimeSeriesDataset& dataset, int batch_size) {
   std::vector<float> out;
@@ -33,12 +48,7 @@ std::vector<float> SequenceModel::Predict(
     const std::vector<int> batch_idx(indices.begin() + begin,
                                      indices.begin() + end);
     const data::Batch batch = data::MakeBatch(dataset, batch_idx);
-    autograd::Variable raw = Forward(ToVariables(batch));
-    const Tensor scores =
-        classify ? tracer::Sigmoid(raw.value())
-                 : tracer::AddScalar(
-                       tracer::Scale(raw.value(), output_scale_),
-                       output_offset_);
+    const Tensor scores = Score(ToVariables(batch), classify);
     for (int b = 0; b < scores.rows(); ++b) out.push_back(scores.at(b, 0));
   }
   return out;

@@ -27,10 +27,20 @@ class SequenceModel : public Module {
   /// Wraps a batch's windows as constant variables.
   static std::vector<autograd::Variable> ToVariables(const data::Batch& batch);
 
-  /// Model outputs over a whole dataset, in sample order, evaluated in
-  /// minibatches. For classification the logits are passed through a
-  /// sigmoid so the result is a probability; regression outputs go through
-  /// the affine output transform (see SetOutputTransform).
+  /// Forward-only evaluation: Forward inside an autograd::NoGradScope, so
+  /// no tape is recorded and each intermediate is freed as soon as it is
+  /// consumed. Returns the B×1 raw outputs (logits for classification),
+  /// bitwise equal to Forward(xs).value().
+  Tensor ScoreRaw(const std::vector<autograd::Variable>& xs);
+
+  /// The one forward-only scoring path (Predict, the server, occlusion):
+  /// ScoreRaw passed through a sigmoid when `classify`, else through the
+  /// affine output transform (see SetOutputTransform).
+  Tensor Score(const std::vector<autograd::Variable>& xs, bool classify);
+
+  /// Model outputs over a whole dataset, in sample order, scored (see
+  /// Score) in minibatches: probabilities for classification, transformed
+  /// predictions for regression.
   std::vector<float> Predict(const data::TimeSeriesDataset& dataset,
                              int batch_size = 256);
 

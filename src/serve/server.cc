@@ -15,7 +15,6 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "tensor/tensor_ops.h"
 
 namespace tracer {
 namespace serve {
@@ -521,15 +520,6 @@ void InferenceServer::RunBatch(const std::shared_ptr<BatchWork>& work) {
       xs.push_back(autograd::Variable::Constant(std::move(x)));
     }
 
-    auto score_with = [&](const ModelSnapshot& model, core::Titv* titv) {
-      autograd::Variable raw = titv->Forward(xs);
-      return options_.classification
-                 ? tracer::Sigmoid(raw.value())
-                 : tracer::AddScalar(
-                       tracer::Scale(raw.value(), model.output_scale),
-                       model.output_offset);
-    };
-
     CircuitBreaker& breaker = BreakerForThisThread();
     const int64_t probes_before = breaker.probes();
     const bool try_primary = breaker.Allow(obs::MonotonicNowNs());
@@ -544,10 +534,10 @@ void InferenceServer::RunBatch(const std::shared_ptr<BatchWork>& work) {
           replica = snapshot->NewReplica();
           cached_snapshot = snapshot;
         }
-        // Forward-only scoring; identical math to SequenceModel::Predict,
-        // so a batched row is bit-identical to the same sample scored
-        // alone.
-        scores = score_with(*snapshot, replica.get());
+        // Forward-only scoring through SequenceModel::Score (the replica
+        // carries the snapshot's output transform), so a batched row is
+        // bit-identical to the same sample scored alone or by Predict.
+        scores = replica->Score(xs, options_.classification);
         failed = !AllFinite(scores);
       }
       const uint64_t done_ns = obs::MonotonicNowNs();
@@ -584,7 +574,7 @@ void InferenceServer::RunBatch(const std::shared_ptr<BatchWork>& work) {
         fallback_replica = fallback->NewReplica();
         cached_fallback = fallback;
       }
-      scores = score_with(*fallback, fallback_replica.get());
+      scores = fallback_replica->Score(xs, options_.classification);
       degraded = AllFinite(scores);
     }
 

@@ -1,7 +1,8 @@
 #include "tensor/arena.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <new>
 
 #include "common/macros.h"
 
@@ -38,18 +39,38 @@ TensorArena::~TensorArena() {
   TRACER_CHECK_EQ(live_, 0)
       << "tensor arena destroyed with live buffers (a tensor escaped its "
          "ScopedArena scope)";
-  for (Block& b : blocks_) ::operator delete(b.data);
+  ReleaseBlocks();
 }
 
+// Blocks are mapped straight from the kernel rather than taken from
+// operator new: glibc serves 256 KiB requests from its heap once its
+// dynamic mmap threshold has risen, and keeps those pages resident after
+// free, so the warm-up chain would stay in RSS under the planned block.
+// munmap hands every page back the moment a block is released.
 TensorArena::Block* TensorArena::Grow(size_t min_bytes) {
   Block b;
   b.capacity = std::max(kMinBlockBytes, RoundUp16(min_bytes));
-  b.data = static_cast<char*>(::operator new(b.capacity));
+  void* mapped = ::mmap(nullptr, b.capacity, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  TRACER_CHECK(mapped != MAP_FAILED)
+      << "tensor arena could not map " << b.capacity << " bytes";
+  b.data = static_cast<char*>(mapped);
   b.used = 0;
   ++g_counters.arena_blocks;
   blocks_.push_back(b);
   active_ = blocks_.size() - 1;
   return &blocks_.back();
+}
+
+size_t TensorArena::capacity_bytes() const {
+  size_t total = 0;
+  for (const Block& b : blocks_) total += b.capacity;
+  return total;
+}
+
+void TensorArena::ReleaseBlocks() {
+  for (Block& b : blocks_) ::munmap(b.data, b.capacity);
+  blocks_.clear();
 }
 
 void* TensorArena::Allocate(size_t bytes) {
@@ -72,8 +93,7 @@ void TensorArena::Reset() {
   // footprint, consolidate to a single block of that size so steady-state
   // iterations bump inside it and never malloc.
   if (blocks_.size() != 1 || blocks_[0].capacity < peak_bytes_) {
-    for (Block& b : blocks_) ::operator delete(b.data);
-    blocks_.clear();
+    ReleaseBlocks();
     if (peak_bytes_ > 0) Grow(peak_bytes_);
   }
   for (Block& b : blocks_) b.used = 0;

@@ -14,11 +14,14 @@ namespace tracer {
 ///
 /// Lifecycle: the trainer installs an arena (ScopedArena) around each
 /// forward+backward evaluation. The warm-up iteration finds the arena
-/// empty, so every allocation chains heap blocks while the arena records
+/// empty, so every allocation chains 256 KiB blocks while the arena records
 /// the peak live footprint; the first Reset() consolidates those blocks
-/// into one block sized to that peak. Because the tape re-records the same
-/// op sequence with the same shapes every iteration, later iterations bump
-/// inside the single planned block and never call malloc. Reset() also
+/// into one block sized to that peak. Blocks are anonymous mmap regions,
+/// unmapped on consolidation and destruction, so the warm-up chain's pages
+/// leave the process instead of lingering in the malloc heap. Because the
+/// tape re-records the same op sequence with the same shapes every
+/// iteration, later iterations bump inside the single planned block and
+/// never call malloc. Reset() also
 /// CHECK-fails unless every buffer served since the previous Reset has
 /// been destroyed — an arena-backed tensor escaping its scope is a
 /// use-after-reset bug, caught on the very next step.
@@ -34,7 +37,7 @@ class TensorArena {
   TensorArena& operator=(const TensorArena&) = delete;
 
   /// 16-byte-aligned bump allocation. Never fails: when the planned block
-  /// is exhausted a new heap block is chained (visible as an
+  /// is exhausted a new block is mapped and chained (visible as an
   /// `arena_blocks` tick in ThreadAllocCounters, so steady-state growth is
   /// observable, not silent).
   void* Allocate(size_t bytes);
@@ -53,6 +56,9 @@ class TensorArena {
   size_t peak_bytes() const { return peak_bytes_; }
   /// 1 after the first Reset unless the plan has been outgrown.
   size_t block_count() const { return blocks_.size(); }
+  /// Bytes mapped across all blocks: the planned block's size once the
+  /// plan holds.
+  size_t capacity_bytes() const;
 
  private:
   struct Block {
@@ -62,6 +68,7 @@ class TensorArena {
   };
 
   Block* Grow(size_t min_bytes);
+  void ReleaseBlocks();
 
   std::vector<Block> blocks_;
   size_t active_ = 0;      // block currently being bumped
@@ -97,7 +104,7 @@ TensorArena* CurrentArena();
 struct AllocCounters {
   int64_t heap_allocs = 0;   ///< buffers served by operator new
   int64_t arena_allocs = 0;  ///< buffers served by the thread's arena
-  int64_t arena_blocks = 0;  ///< arena block mallocs (warm-up / overflow)
+  int64_t arena_blocks = 0;  ///< arena block maps (warm-up / overflow)
 };
 AllocCounters ThreadAllocCounters();
 

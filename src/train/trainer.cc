@@ -300,11 +300,15 @@ TrainResult FitInternal(nn::SequenceModel* model,
         // stray heap mallocs; steady-state steps must read 0 (asserted by
         // the arena test, visible here in the metrics dump).
         const AllocCounters a = ThreadAllocCounters();
-        obs::MetricsRegistry::Global()
-            .GetOrCreateGauge("tracer_train_allocs_per_step")
+        obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+        registry.GetOrCreateGauge("tracer_train_allocs_per_step")
             ->Set(static_cast<double>(
                 (a.heap_allocs - step_allocs_before.heap_allocs) +
                 (a.arena_blocks - step_allocs_before.arena_blocks)));
+        // Bytes the step arena holds mapped: the planned block after the
+        // warm-up step (0 with the arena off).
+        registry.GetOrCreateGauge("tracer_train_arena_bytes")
+            ->Set(static_cast<double>(step_arena.capacity_bytes()));
       }
       bool skip = config.nonfinite_guard && !std::isfinite(loss_value);
       float grad_norm = 0.0f;
@@ -467,6 +471,8 @@ TrainResult FitInternal(nn::SequenceModel* model,
 double DatasetLoss(nn::SequenceModel* model,
                    const data::TimeSeriesDataset& dataset, int batch_size) {
   TRACER_CHECK_GT(dataset.num_samples(), 0);
+  // Forward-only: the loss is read, never differentiated.
+  const autograd::NoGradScope no_grad;
   double total = 0.0;
   int64_t counted = 0;
   for (int begin = 0; begin < dataset.num_samples(); begin += batch_size) {

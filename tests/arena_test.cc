@@ -4,6 +4,10 @@
 // plans the peak footprint, a steady-state training step allocates zero
 // heap memory for tensor buffers.
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,6 +96,58 @@ TEST(ArenaTest, ResetConsolidatesWarmupBlocksIntoPlannedBlock) {
   EXPECT_EQ(after.arena_blocks - before.arena_blocks, 0);
 }
 
+#ifdef __linux__
+// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size_pages = 0, resident_pages = 0;
+  const int read = std::fscanf(f, "%llu %llu", &size_pages, &resident_pages);
+  std::fclose(f);
+  if (read != 2) return 0;
+  return static_cast<size_t>(resident_pages) *
+         static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+TEST(ArenaTest, ConsolidationReturnsTheWarmupChainToTheOs) {
+#ifndef __linux__
+  GTEST_SKIP() << "reads resident memory from /proc/self/statm";
+#else
+  // A warm-up chain of 256 KiB blocks holding >= 64 MiB of touched tensor
+  // memory. Consolidation replaces it with one planned block that nothing
+  // has touched yet, so resident memory must fall by most of the chain.
+  // The heap is put in the state a training process leaves it in: an
+  // earlier free of a large buffer has raised malloc's dynamic mmap
+  // threshold, and small heap objects (tape nodes, closures) allocated
+  // between the chain's blocks outlive it, so a heap-served chain could
+  // not be trimmed away.
+  ::operator delete(::operator new(size_t{4} << 20));
+  std::vector<std::unique_ptr<char[]>> interleaved;
+  TensorArena arena;
+  size_t chain_bytes = 0;
+  {
+    ScopedArena scope(&arena);
+    std::vector<Tensor> chain;
+    for (int i = 0; i < 1100; ++i) {
+      chain.push_back(Tensor::Zeros({64, 256}));  // 64 KiB each
+      interleaved.push_back(std::make_unique<char[]>(64));
+    }
+    chain_bytes = arena.capacity_bytes();
+    EXPECT_GT(arena.block_count(), 256u);
+  }
+  ASSERT_GE(chain_bytes, size_t{64} << 20);
+  const size_t before = ResidentBytes();
+  arena.Reset();
+  const size_t after = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  EXPECT_EQ(arena.block_count(), 1u);
+  EXPECT_GE(before, after + chain_bytes / 2)
+      << "resident " << before << " -> " << after << " bytes; chain "
+      << chain_bytes << " bytes";
+#endif
+}
+
 TEST(ArenaDeathTest, ResetWithLiveBufferAborts) {
   EXPECT_DEATH(
       {
@@ -178,6 +234,11 @@ TEST(ArenaTest, TrainerReportsZeroAllocsPerStepInSteadyState) {
   obs::Gauge* gauge = obs::MetricsRegistry::Global().GetOrCreateGauge(
       "tracer_train_allocs_per_step");
   EXPECT_EQ(gauge->value(), 0.0);
+  // The planned block is what the step arena keeps mapped.
+  EXPECT_GT(obs::MetricsRegistry::Global()
+                .GetOrCreateGauge("tracer_train_arena_bytes")
+                ->value(),
+            0.0);
 }
 
 }  // namespace

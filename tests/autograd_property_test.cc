@@ -1,15 +1,24 @@
 // Property-based stress tests for the autograd engine: random expression
 // DAGs built from the op library must match finite differences, regardless
-// of shape, depth and sharing.
+// of shape, depth and sharing. Also the NoGradScope contract: forward-only
+// regions record no tape, yet produce the taped values bitwise.
 
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "baselines/birnn_model.h"
+#include "baselines/dipole.h"
+#include "baselines/retain.h"
 #include "common/rng.h"
+#include "core/titv.h"
+#include "tensor/tensor_ops.h"
 
 namespace tracer {
 namespace autograd {
@@ -275,6 +284,117 @@ TEST(AutogradStressTest, RepeatedBackwardWithZeroGradIsIdempotent) {
   for (int64_t i = 0; i < x.grad().size(); ++i) {
     EXPECT_NEAR(x.grad()[i], 2.0f * x.value()[i] / 9.0f, 1e-5f);
   }
+}
+
+TEST(NoGradScopeTest, OpsInsideRecordNoParentsOrClosure) {
+  Rng rng(3);
+  Variable w = Variable::Parameter(Tensor::Randn({3, 3}, rng));
+  EXPECT_TRUE(GradEnabled());
+  {
+    const NoGradScope no_grad;
+    EXPECT_FALSE(GradEnabled());
+    const Variable y = Tanh(MatMul(w, w));
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->forward_only);
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(y.node()->backward_fn);
+  }
+  EXPECT_TRUE(GradEnabled());
+  const Variable taped = Tanh(MatMul(w, w));
+  EXPECT_TRUE(taped.requires_grad());
+  EXPECT_FALSE(taped.node()->forward_only);
+  EXPECT_EQ(taped.node()->parents.size(), 1u);
+  EXPECT_TRUE(taped.node()->backward_fn);
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreTheOuterState) {
+  EXPECT_TRUE(GradEnabled());
+  {
+    const NoGradScope outer;
+    {
+      const NoGradScope inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());
+  }
+  EXPECT_TRUE(GradEnabled());
+}
+
+TEST(NoGradScopeTest, OtherThreadsStillRecordTheTape) {
+  Rng rng(4);
+  Variable w = Variable::Parameter(Tensor::Randn({2, 2}, rng));
+  const NoGradScope no_grad;
+  bool enabled = false;
+  bool taped = false;
+  std::thread other([&] {
+    enabled = GradEnabled();
+    const Variable y = Tanh(w);
+    taped = y.requires_grad() && !y.node()->parents.empty();
+  });
+  other.join();
+  EXPECT_TRUE(enabled);
+  EXPECT_TRUE(taped);
+  EXPECT_FALSE(GradEnabled());
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(NoGradScopeTest, ForwardInsideScopeIsBitwiseTheTapedValue) {
+  constexpr int kWindows = 4, kBatch = 3, kDim = 5, kHidden = 6;
+  Rng rng(9);
+  std::vector<Variable> xs;
+  for (int t = 0; t < kWindows; ++t) {
+    xs.push_back(Variable::Constant(Tensor::Randn({kBatch, kDim}, rng)));
+  }
+  core::TitvConfig titv_config;
+  titv_config.input_dim = kDim;
+  titv_config.rnn_dim = kHidden;
+  titv_config.film_dim = kHidden;
+  std::vector<std::unique_ptr<nn::SequenceModel>> models;
+  models.push_back(std::make_unique<core::Titv>(titv_config));
+  models.push_back(std::make_unique<baselines::BirnnModel>(
+      kDim, kHidden, 3, baselines::RnnKind::kGru));
+  models.push_back(std::make_unique<baselines::BirnnModel>(
+      kDim, kHidden, 3, baselines::RnnKind::kLstm));
+  models.push_back(std::make_unique<baselines::Retain>(kDim, kHidden,
+                                                       kHidden));
+  models.push_back(std::make_unique<baselines::Dipole>(
+      kDim, kHidden, baselines::DipoleAttention::kConcat));
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->name());
+    const Variable taped = model->Forward(xs);
+    ASSERT_TRUE(taped.requires_grad());
+    Tensor untaped;
+    {
+      const NoGradScope no_grad;
+      const Variable out = model->Forward(xs);
+      EXPECT_FALSE(out.requires_grad());
+      untaped = out.value();
+    }
+    EXPECT_TRUE(BitwiseEqual(taped.value(), untaped));
+    EXPECT_TRUE(BitwiseEqual(taped.value(), model->ScoreRaw(xs)));
+    EXPECT_TRUE(BitwiseEqual(tracer::Sigmoid(taped.value()),
+                             model->Score(xs, /*classify=*/true)));
+    EXPECT_TRUE(GradEnabled());
+  }
+}
+
+TEST(NoGradScopeDeathTest, BackwardFromRootBuiltInsideScopeDies) {
+  EXPECT_DEATH(
+      {
+        Rng rng(5);
+        Variable w = Variable::Parameter(Tensor::Randn({2, 2}, rng));
+        Variable loss;
+        {
+          const NoGradScope no_grad;
+          loss = MeanAll(Mul(w, w));
+        }
+        loss.Backward();
+      },
+      "NoGradScope");
 }
 
 }  // namespace

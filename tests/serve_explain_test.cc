@@ -149,6 +149,66 @@ TEST(ServeExplainTest, MatchesOfflineRecomputeForAllMethods) {
   }
 }
 
+TEST(ServeExplainTest, IntegratedGradientsKeepTheTapeAfterScoring) {
+  // Scoring runs forward-only (SequenceModel::Score inside a NoGradScope);
+  // a later IG pass on the same replica and thread must still record its
+  // tape and reproduce the offline attribution bit-for-bit.
+  ModelRegistry registry;
+  const core::TitvConfig config = MicroConfig(/*seed=*/57);
+  const uint64_t version = RegisterFreshModel(&registry, config);
+  ASSERT_TRUE(registry.Publish(version).ok());
+  Rng rng(17);
+  const auto windows = RandomWindows(/*num_windows=*/3, config.input_dim,
+                                     &rng);
+  ExplainSpec spec;
+  spec.method = interpret::Method::kIntegratedGradients;
+  spec.ig_steps = 5;
+  spec.baseline = interpret::BaselineKind::kZero;
+  const interpret::AttributionResult expected =
+      OfflineAttribute(registry, version, windows, spec);
+
+  // Directly: Score, then IG, on one replica.
+  auto replica = registry.Get(version)->NewReplica();
+  std::vector<Tensor> xs;
+  std::vector<autograd::Variable> vars;
+  for (const auto& window : windows) {
+    Tensor x({1, config.input_dim});
+    for (int j = 0; j < config.input_dim; ++j) x.at(0, j) = window[j];
+    vars.push_back(autograd::Variable::Constant(x));
+    xs.push_back(std::move(x));
+  }
+  const Tensor score = replica->Score(vars, /*classify=*/true);
+  EXPECT_TRUE(autograd::GradEnabled());
+  interpret::ModelScorer scorer = interpret::WrapSequenceModel(replica.get());
+  interpret::IntegratedGradientsOptions ig;
+  ig.steps = spec.ig_steps;
+  interpret::IntegratedGradients attributor(
+      scorer.tape, interpret::BaselineBuilder(spec.baseline), ig,
+      scorer.reset);
+  const interpret::AttributionResult direct = attributor.Attribute(xs);
+  EXPECT_EQ(direct.samples[0].fi, expected.samples[0].fi);
+
+  // Through the server: one worker, so the score batch and the explain
+  // batch run on the same thread and the same cached replica.
+  ServeOptions options;
+  options.num_workers = 1;
+  InferenceServer server(&registry, options);
+  ServeRequest plain;
+  plain.windows = windows;
+  const ServeResponse scored = server.Infer(std::move(plain));
+  ASSERT_TRUE(scored.status.ok()) << scored.status.ToString();
+  EXPECT_EQ(scored.decision.probability, score.at(0, 0));
+  ServeRequest request;
+  request.windows = windows;
+  const ServeResponse response = server.Explain(std::move(request), spec);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  ASSERT_EQ(response.attributions.size(), windows.size());
+  for (size_t t = 0; t < windows.size(); ++t) {
+    EXPECT_EQ(response.attributions[t], expected.samples[0].fi[t])
+        << "window " << t << " diverged from the offline recompute";
+  }
+}
+
 TEST(ServeExplainTest, RejectsPopulationMeanBaseline) {
   ModelRegistry registry;
   const core::TitvConfig config = MicroConfig();

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "baselines/logistic_regression.h"
+#include "core/titv.h"
 #include "datagen/emr_generator.h"
 #include "datagen/temperature_generator.h"
 #include "obs/autograd_profiler.h"
@@ -108,6 +110,43 @@ TEST(TrainerTest, DeterministicGivenSeeds) {
   ASSERT_EQ(r1.train_loss.size(), r2.train_loss.size());
   for (size_t i = 0; i < r1.train_loss.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1.train_loss[i], r2.train_loss[i]);
+  }
+}
+
+TEST(TrainerTest, RepeatFitAfterEvaluateIsBitwiseIdentical) {
+  // The benchmark's order within one process: fit a TITV (step arena on),
+  // Evaluate it, then fit a fresh TITV from the same seeds. Nothing the
+  // first fit or the forward-only evaluation leaves behind (arena blocks,
+  // thread-local scopes, freed memory) may leak into the second fit.
+  Fixture f = MakeFixture(200);
+  core::TitvConfig mc;
+  mc.input_dim = f.input_dim;
+  mc.rnn_dim = 8;
+  mc.film_dim = 8;
+  mc.seed = 4;
+  TrainConfig tc;
+  tc.max_epochs = 3;
+  tc.batch_size = 16;
+  tc.patience = 0;
+  tc.seed = 12;
+  core::Titv first(mc);
+  const TrainResult r1 = Fit(&first, f.splits.train, f.splits.val, tc);
+  const EvalResult eval = Evaluate(&first, f.splits.test);
+  EXPECT_GT(eval.auc, 0.0);
+  core::Titv second(mc);
+  const TrainResult r2 = Fit(&second, f.splits.train, f.splits.val, tc);
+  ASSERT_TRUE(r1.status.ok());
+  ASSERT_TRUE(r2.status.ok());
+  EXPECT_EQ(r1.val_loss, r2.val_loss);
+  const std::vector<Tensor> s1 = first.StateDict();
+  const std::vector<Tensor> s2 = second.StateDict();
+  ASSERT_EQ(s1.size(), s2.size());
+  for (size_t i = 0; i < s1.size(); ++i) {
+    ASSERT_TRUE(s1[i].SameShape(s2[i]));
+    EXPECT_EQ(std::memcmp(s1[i].data(), s2[i].data(),
+                          sizeof(float) * s1[i].size()),
+              0)
+        << "parameter " << i << " differs";
   }
 }
 
